@@ -17,9 +17,9 @@
  *     dispatch, batched diagonal expectation.
  *
  *  3. Distributed sharding (BENCH_dist.json): one serial process vs
- *     the sweep sharded over 2/4 oscar-worker processes -- over
- *     socketpairs and over loopback TCP with compressed framing
- *     (on-wire raw vs stored bytes reported per row) -- plus a
+ *     the sweep sharded over 1/2/4 oscar-worker processes over
+ *     loopback TCP with compressed framing (on-wire raw vs stored
+ *     bytes reported per row) -- plus a
  *     deliberate-straggler case with per-point work stealing on/off
  *     (steal counts and tail-latency improvement) and a sharded
  *     reconstruction; bit-identity asserted on every row.
@@ -382,7 +382,9 @@ runDistStudy()
     // Hybrid process x thread grid: each (workers, threads) cell runs
     // the same sweep through T-threaded workers and is verified
     // bit-identical to the serial reference -- the hybrid determinism
-    // contract is asserted, not assumed, on every row.
+    // contract is asserted, not assumed, on every row. Reported per
+    // row: the bytes the frames would have cost raw vs what the wire
+    // actually carried.
     bool spawn_failed = false;
     const std::pair<int, int> grid[] = {
         {1, 1}, {1, 2}, {2, 1}, {2, 2}, {4, 1}};
@@ -392,79 +394,25 @@ runDistStudy()
         options.dist.numWorkers = workers;
         options.dist.threadsPerWorker = threads;
         options.dist.minPointsToDistribute = 1;
-        // These rows measure the socketpair transport; pin it so an
-        // exported OSCAR_DIST_LISTEN cannot silently turn them TCP.
-        options.dist.listen = "none";
         ExecutionEngine engine(options);
         StatevectorCost cost = sweep.make();
         std::vector<double> values;
-        std::size_t remote = 0, requeued = 0, pipelined = 0;
+        BatchStats stats;
         int rep = 0;
         const auto timing = bench::timeRepeated(kStudyReps, [&] {
             cost.configureKernel(coldOptions(rep++));
             BatchHandle handle = engine.submit(cost, sweep.points);
             values = handle.get();
-            remote = handle.stats().pointsRemote;
-            requeued = handle.stats().shardsRequeued;
-            pipelined = handle.stats().shardsPipelined;
+            stats = handle.stats();
         });
-        const bool distributed = remote == num_points;
+        const bool distributed = stats.pointsRemote == num_points;
         if (!distributed)
             spawn_failed = true;
         const bool match = identical(values, reference);
         const double speedup = base_median / timing.median;
+        const std::size_t raw_bytes = stats.bytesOnWireRaw;
+        const std::size_t wire_bytes = stats.bytesOnWireCompressed;
         const std::string name = "dist " + std::to_string(workers) +
-                                 "p x " + std::to_string(threads) + "t";
-        bench::row(name,
-                   {static_cast<double>(num_points) / timing.median,
-                    timing.median, timing.min, speedup,
-                    match && distributed ? 1.0 : 0.0},
-                   " %10.4g");
-        json.add(name, timing, num_points,
-                 {{"workers", static_cast<double>(workers)},
-                  {"threads_per_worker", static_cast<double>(threads)},
-                  {"speedup_vs_single", speedup},
-                  {"match", match ? 1.0 : 0.0},
-                  {"points_remote", static_cast<double>(remote)},
-                  {"shards_requeued", static_cast<double>(requeued)},
-                  {"shards_pipelined",
-                   static_cast<double>(pipelined)}});
-    }
-    if (spawn_failed)
-        std::printf("  (warning: distributed runs fell back "
-                    "in-process; is oscar-worker built?)\n");
-
-    // Loopback-TCP rows: the same sweep through an elastic TCP fleet
-    // coordinator (workers dial 127.0.0.1 and pass the authenticated
-    // Hello handshake) with compressed framing. Reported per row: the
-    // bytes the frames would have cost raw vs what the wire actually
-    // carried.
-    for (const auto& [workers, threads] :
-         {std::pair<int, int>{2, 1}, std::pair<int, int>{2, 2}}) {
-        EngineOptions options;
-        options.numThreads = 1;
-        options.dist.numWorkers = workers;
-        options.dist.threadsPerWorker = threads;
-        options.dist.minPointsToDistribute = 1;
-        options.dist.listen = "127.0.0.1:0";
-        options.dist.secret = "bench-fleet";
-        ExecutionEngine engine(options);
-        StatevectorCost cost = sweep.make();
-        std::vector<double> values;
-        std::size_t remote = 0, raw_bytes = 0, wire_bytes = 0;
-        int rep = 0;
-        const auto timing = bench::timeRepeated(kStudyReps, [&] {
-            cost.configureKernel(coldOptions(rep++));
-            BatchHandle handle = engine.submit(cost, sweep.points);
-            values = handle.get();
-            remote = handle.stats().pointsRemote;
-            raw_bytes = handle.stats().bytesOnWireRaw;
-            wire_bytes = handle.stats().bytesOnWireCompressed;
-        });
-        const bool distributed = remote == num_points;
-        const bool match = identical(values, reference);
-        const double speedup = base_median / timing.median;
-        const std::string name = "tcp " + std::to_string(workers) +
                                  "p x " + std::to_string(threads) + "t";
         bench::row(name,
                    {static_cast<double>(num_points) / timing.median,
@@ -481,10 +429,14 @@ runDistStudy()
         json.add(name, timing, num_points,
                  {{"workers", static_cast<double>(workers)},
                   {"threads_per_worker", static_cast<double>(threads)},
-                  {"transport_tcp", 1.0},
                   {"speedup_vs_single", speedup},
                   {"match", match ? 1.0 : 0.0},
-                  {"points_remote", static_cast<double>(remote)},
+                  {"points_remote",
+                   static_cast<double>(stats.pointsRemote)},
+                  {"shards_requeued",
+                   static_cast<double>(stats.shardsRequeued)},
+                  {"shards_pipelined",
+                   static_cast<double>(stats.shardsPipelined)},
                   {"bytes_on_wire_raw", static_cast<double>(raw_bytes)},
                   {"bytes_on_wire_compressed",
                    static_cast<double>(wire_bytes)},
@@ -493,6 +445,9 @@ runDistStudy()
                                        static_cast<double>(raw_bytes)
                                  : 1.0}});
     }
+    if (spawn_failed)
+        std::printf("  (warning: distributed runs fell back "
+                    "in-process; is oscar-worker built?)\n");
 
     // Deliberate-straggler case: one fast local member plus a joiner
     // throttled by the OSCAR_WORKER_SLOW_US hook, each initially

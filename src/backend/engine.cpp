@@ -298,17 +298,12 @@ ExecutionEngine::ExecutionEngine(const EngineOptions& options)
     dist_.threadsPerWorker =
         dist::resolveThreadsPerWorker(dist_.threadsPerWorker);
     dist_.listen = dist::resolveDistListen(dist_.listen);
-    // Pin the resolved transport: the pool re-runs the resolver, and
-    // an empty listen would make it consult OSCAR_DIST_LISTEN again --
-    // overriding a configured "none".
-    if (dist_.listen.empty())
-        dist_.listen = "none";
     dist_.secret = dist::resolveDistSecret(dist_.secret);
     // A listener alone (numWorkers == 0) is a valid fleet: the
     // coordinator serves whoever connects. A negative worker count
     // still pins distribution off entirely.
     distEnabled_ = dist_.numWorkers > 0 ||
-                   (dist_.numWorkers == 0 && dist_.listen != "none");
+                   (dist_.numWorkers == 0 && !dist_.listen.empty());
 
     // Threads spawn last: everything above may throw, and unwinding
     // with joinable workers would terminate. The submitting thread

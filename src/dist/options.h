@@ -74,7 +74,7 @@ struct DistOptions
      * A worker silent for this long (no heartbeat, result, or hello)
      * is declared dead: it is killed, and its in-flight shard is
      * requeued onto the surviving workers. Crashes are additionally
-     * detected immediately via pipe EOF; the timeout catches hung
+     * detected immediately via socket EOF; the timeout catches hung
      * (not crashed) workers.
      */
     int heartbeatTimeoutMs = 3000;
@@ -89,23 +89,25 @@ struct DistOptions
 
     /**
      * TCP listen address, "host:port" (port 0 = kernel-assigned,
-     * readable back via ProcessPool::listenPort()). Non-empty turns
-     * the pool into an elastic TCP fleet coordinator: local workers
-     * connect over loopback instead of socketpairs, and remote
+     * readable back via ProcessPool::listenPort()). Every worker,
+     * local or remote, joins the pool over TCP. Non-empty turns the
+     * pool into an elastic fleet coordinator: remote
      * `oscar-worker --connect host:port` processes may join or leave
-     * at any time -- mid-batch included. Empty = consult the
-     * OSCAR_DIST_LISTEN environment variable (resolveDistListen); the
-     * literal "none" forces socketpair transport even when the
-     * environment names a listener. With a listener, numWorkers may
-     * be 0: a coordinator that serves only remote joiners.
+     * at any time -- mid-batch included -- and numWorkers may be 0, a
+     * coordinator that serves only remote joiners. Empty = consult
+     * the OSCAR_DIST_LISTEN environment variable (resolveDistListen);
+     * when that is unset too, the pool binds 127.0.0.1:0 for its own
+     * workers only.
      */
     std::string listen;
 
     /**
      * Shared fleet secret for the authenticated Hello handshake on
-     * TCP accepts (an HMAC-style challenge tag; see
+     * every accept (an HMAC-style challenge tag; see
      * dist::helloAuthTag). Empty = consult OSCAR_DIST_SECRET
-     * (resolveDistSecret); when that is unset too, the fleet runs
+     * (resolveDistSecret). When that is unset too, a pool without a
+     * configured listener mints a random per-pool secret (only its
+     * own workers can join), and one with a configured listener runs
      * unauthenticated (the challenge is still issued, with an
      * empty-secret key). Every member must agree on the secret.
      */
@@ -137,12 +139,10 @@ int resolveThreadsPerWorker(int configured);
 /**
  * Resolve DistOptions::listen: a non-empty configured value wins
  * (validated); empty consults OSCAR_DIST_LISTEN (unset = "", no
- * listener). The literal "none" -- configured or in the environment --
- * resolves to "" (socketpair transport), so callers can pin the
- * transport against an inherited environment. Anything else must be
- * "host:port" with a numeric port 0..65535 (0 = kernel-assigned);
- * malformed input throws std::runtime_error naming the valid form.
- * Defined in process_pool.cpp.
+ * configured listener: the pool binds 127.0.0.1:0 for its own
+ * workers). A value must be "host:port" with a numeric port 0..65535
+ * (0 = kernel-assigned); malformed input throws std::runtime_error
+ * naming the valid form. Defined in process_pool.cpp.
  */
 std::string resolveDistListen(const std::string& configured);
 
@@ -157,8 +157,8 @@ std::string resolveDistConnect(const std::string& configured);
 
 /**
  * Resolve DistOptions::secret: a non-empty configured value wins;
- * empty consults OSCAR_DIST_SECRET (unset = "", unauthenticated
- * fleet). A set-but-empty or over-long (> 256 bytes) secret throws
+ * empty consults OSCAR_DIST_SECRET (unset = "", no configured
+ * secret; see DistOptions::secret). A set-but-empty or over-long (> 256 bytes) secret throws
  * std::runtime_error naming the valid form -- an empty exported
  * secret is a misconfiguration, not a choice. Defined in
  * process_pool.cpp.

@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/random.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -123,13 +124,11 @@ resolveDistListen(const std::string& configured)
         value = env;
         source = "OSCAR_DIST_LISTEN";
     }
-    if (value == "none")
-        return "";
     if (!parseHostPort(value, 0, 65535))
         throw std::runtime_error(
             source +
             ": expected \"host:port\" (numeric port 0..65535, 0 = "
-            "kernel-assigned) or \"none\", got \"" +
+            "kernel-assigned), got \"" +
             value + "\"");
     return value;
 }
@@ -201,25 +200,23 @@ struct Shard
  */
 constexpr std::size_t kPipelineDepth = 2;
 
-/** One pool member: a forked local worker (socketpair or loopback
- *  TCP) or a remote TCP joiner. All fields monitor-owned; pid/alive
+/** One pool member: an accepted TCP connection, from a forked local
+ *  worker or a remote joiner. All fields monitor-owned; pid/alive
  *  also read by workerPids()/healthy() under the core mutex. */
 struct WorkerProc
 {
+    /** A pid this pool spawned, once the Hello bound it; else -1. */
     int pid = -1;
     int fd = -1;
     bool alive = false;
     bool helloSeen = false;
-    /** TCP member not (yet) bound to a pid this pool spawned. */
-    bool remote = false;
-    /** Challenge issued; the Hello must carry the matching auth tag. */
-    bool needsAuth = false;
+    /** The challenge its Hello must answer with the fleet-secret tag. */
     std::uint64_t nonce = 0;
     /** Evaluation threads the worker advertised in its Hello (>= 1). */
     std::uint16_t capacity = 1;
     /** The pid the worker reported in its Hello -- the key its
-     *  Telemetry frames use (equals `pid` for plain locals; set even
-     *  for remote members, whose `pid` stays -1). */
+     *  Telemetry frames use (equals `pid` for locals; set even for
+     *  remote members, whose `pid` stays -1). */
     std::int32_t telemetryPid = 0;
     FrameDecoder decoder;
     Clock::time_point lastHeard;
@@ -228,7 +225,7 @@ struct WorkerProc
     std::unordered_set<std::uint64_t> loadedCosts;
 };
 
-/** A pid this pool forked in TCP mode; bound once its Hello arrives. */
+/** A pid this pool forked; bound to its member once its Hello arrives. */
 struct SpawnedPid
 {
     int pid = -1;
@@ -258,11 +255,15 @@ struct PoolCore
     /** Content-addressed cost specs (LoadCost payloads) by costId. */
     std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> costs;
 
-    // Elastic TCP fleet state.
-    bool listening = false;
+    /**
+     * A configured listener: remote joiners may arrive at any time, so
+     * the pool may run empty and keeps batches queued meanwhile. A
+     * default pool listens only for its own workers.
+     */
+    bool elastic = false;
     int listenFd = -1;
     std::uint16_t boundPort = 0;
-    /** Locals forked in TCP mode, bound to members by Hello pid. */
+    /** Forked locals, bound to members by Hello pid. */
     std::vector<SpawnedPid> spawned;
     /** Local membership progress; the constructor waits on these. */
     std::size_t localHelloCount = 0;
@@ -450,19 +451,15 @@ markWorkerDeadLocked(PoolCore& core, WorkerProc& worker)
         // later cleanup pass must not SIGKILL an innocent process.
         worker.pid = -1;
     }
-    // A TCP accept that never authenticated was not a member; don't
+    // An accept that never authenticated was not a member; don't
     // count it as a lost worker.
-    if (worker.helloSeen || !worker.remote)
+    if (worker.helloSeen)
         core.stats.workersLost++;
     // Forget the dead worker's metrics contribution: its unfinished
     // shards requeue and re-execute elsewhere, so keeping its last
     // cumulative snapshot would double-count that work in merged().
     if (worker.telemetryPid != 0)
         obs::Registry::global().dropWorkerSnapshot(worker.telemetryPid);
-    // A local worker that died before its Hello still settles the
-    // constructor's membership wait.
-    if (!worker.remote && !worker.helloSeen)
-        core.localDeadCount++;
     while (!worker.inflight.empty()) {
         // Back to front, each pushed at the head: the queue ends up
         // [first dispatched, second dispatched, older pending...].
@@ -502,7 +499,7 @@ failAllPendingLocked(PoolCore& core, const char* message)
 
 /**
  * With no survivors the queue can never drain: fail every queued
- * shard's batch instead of hanging its waiters. A listening pool is
+ * shard's batch instead of hanging its waiters. An elastic pool is
  * exempt while running -- a joiner may still arrive -- but not during
  * shutdown, when no new members are accepted. Call with the core
  * mutex held.
@@ -510,7 +507,7 @@ failAllPendingLocked(PoolCore& core, const char* message)
 void
 requeueNoSurvivorsLocked(PoolCore& core)
 {
-    if (core.listening && !core.stop)
+    if (core.elastic && !core.stop)
         return;
     for (const WorkerProc& w : core.workers) {
         if (w.alive)
@@ -631,7 +628,7 @@ dispatchLocked(PoolCore& core)
             shard.batch->progress.bytesOnWireRaw += sent_raw;
             shard.batch->progress.bytesOnWireCompressed += sent_wire;
         }
-        if (worker.remote)
+        if (worker.pid <= 0)
             core.stats.tasksToRemote++;
         worker.inflight.push_back(std::move(shard));
         core.stats.tasksDispatched++;
@@ -722,28 +719,24 @@ handleFrameLocked(PoolCore& core, WorkerProc& worker, Frame&& frame,
             return false; // one Hello per connection
         if (hello.wireVersion != kWireVersion)
             return false;
-        if (worker.needsAuth &&
-            hello.authTag !=
-                helloAuthTag(core.options.secret, worker.nonce, hello))
+        if (hello.authTag !=
+            helloAuthTag(core.options.secret, worker.nonce, hello))
             return false; // wrong fleet secret: drop before any work
         worker.helloSeen = true;
         worker.capacity = std::max<std::uint16_t>(1, hello.threads);
         worker.telemetryPid = hello.pid;
-        if (worker.needsAuth) {
-            core.stats.workersJoined++;
-            // A TCP member whose Hello pid matches a pid this pool
-            // forked is one of our own loopback locals: bind it so
-            // workerPids() fault hooks and the membership wait see it.
-            for (SpawnedPid& sp : core.spawned) {
-                if (!sp.bound && sp.pid == hello.pid) {
-                    sp.bound = true;
-                    worker.pid = sp.pid;
-                    worker.remote = false;
-                    break;
-                }
+        core.stats.workersJoined++;
+        // A member whose Hello pid matches a pid this pool forked is
+        // one of our own locals: bind it so workerPids() fault hooks
+        // and the membership wait see it.
+        for (SpawnedPid& sp : core.spawned) {
+            if (!sp.bound && sp.pid == hello.pid) {
+                sp.bound = true;
+                worker.pid = sp.pid;
+                break;
             }
         }
-        if (!worker.remote)
+        if (worker.pid > 0)
             core.localHelloCount++;
         core.membershipCv.notify_all();
         return true;
@@ -868,8 +861,8 @@ handleFrameLocked(PoolCore& core, WorkerProc& worker, Frame&& frame,
 }
 
 /**
- * Accept every pending TCP connection and challenge it: the joiner
- * may not receive work until its Hello answers the nonce with the
+ * Accept every pending connection and challenge it: the joiner may
+ * not receive work until its Hello answers the nonce with the
  * fleet-secret tag. Call with the core mutex held.
  */
 void
@@ -885,8 +878,6 @@ acceptJoinersLocked(PoolCore& core)
         WorkerProc w;
         w.fd = fd;
         w.alive = true;
-        w.remote = true;
-        w.needsAuth = true;
         w.nonce = core.rng();
         // The heartbeat timeout doubles as the handshake deadline: a
         // connection that never answers the challenge times out.
@@ -997,49 +988,10 @@ ProcessPool::resolveWorkerPath(const std::string& override_path)
 
 namespace {
 
-/** Fork + exec one socketpair worker; returns its parent-side fd. */
-int
-spawnWorker(const std::string& worker_path, int heartbeat_ms, int threads,
-            int* pid_out)
-{
-    int sv[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0)
-        throw std::runtime_error("ProcessPool: socketpair failed");
-    // Parent end: close-on-exec (later workers must not inherit it)
-    // and non-blocking (the monitor multiplexes all workers).
-    ::fcntl(sv[0], F_SETFD, FD_CLOEXEC);
-    ::fcntl(sv[0], F_SETFL, O_NONBLOCK);
-
-    // Argument strings must exist before fork: the child may only use
-    // async-signal-safe calls between fork and exec.
-    const std::string fd_arg = std::to_string(sv[1]);
-    const std::string hb_arg = std::to_string(heartbeat_ms);
-    // 0 = hardware concurrency, resolved on the worker host (the
-    // worker advertises the resolved count back in its Hello frame).
-    const std::string threads_arg = std::to_string(threads);
-
-    const int pid = ::fork();
-    if (pid == 0) {
-        ::close(sv[0]);
-        ::execl(worker_path.c_str(), "oscar-worker", "--worker-fd",
-                fd_arg.c_str(), "--heartbeat-ms", hb_arg.c_str(),
-                "--threads", threads_arg.c_str(),
-                static_cast<char*>(nullptr));
-        ::_exit(127); // exec failed; parent sees EOF
-    }
-    ::close(sv[1]);
-    if (pid < 0) {
-        ::close(sv[0]);
-        throw std::runtime_error("ProcessPool: fork failed");
-    }
-    *pid_out = pid;
-    return sv[0];
-}
-
 /**
- * Fork + exec one local worker that joins back over loopback TCP,
- * exactly like a remote member would. The fleet secret travels via
- * the child's environment, never argv (ps would leak it).
+ * Fork + exec one local worker that joins back over TCP, exactly like
+ * a remote member would. The fleet secret travels via the child's
+ * environment, never argv (ps would leak it).
  */
 int
 spawnConnectWorker(const std::string& worker_path,
@@ -1140,7 +1092,34 @@ openListener(const std::string& spec, std::uint16_t* port_out)
     return fd;
 }
 
-/** Where the pool's own loopback locals should connect. */
+/**
+ * A random per-pool secret (hex, so it survives the environment): a
+ * default pool's loopback listener then admits only the workers it
+ * spawned, which receive the secret through their environment.
+ */
+std::string
+mintSecret()
+{
+    std::uint8_t bytes[16];
+    std::size_t got = 0;
+    while (got < sizeof(bytes)) {
+        const ssize_t n = ::getrandom(bytes + got, sizeof(bytes) - got, 0);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n < 0)
+            throw std::runtime_error("ProcessPool: getrandom failed");
+        got += static_cast<std::size_t>(n);
+    }
+    static const char kHex[] = "0123456789abcdef";
+    std::string secret;
+    for (const std::uint8_t b : bytes) {
+        secret.push_back(kHex[b >> 4]);
+        secret.push_back(kHex[b & 15]);
+    }
+    return secret;
+}
+
+/** Where the pool's own locals should connect. */
 std::string
 connectAddressFor(const std::string& listen_spec, std::uint16_t port)
 {
@@ -1165,9 +1144,17 @@ ProcessPool::ProcessPool(const DistOptions& options)
         resolveThreadsPerWorker(options.threadsPerWorker);
     core_->options.listen = resolveDistListen(options.listen);
     core_->options.secret = resolveDistSecret(options.secret);
-    const bool tcp = !core_->options.listen.empty();
+    // Without a configured listener the pool binds an ephemeral
+    // loopback port for its own workers, and without a configured
+    // secret it mints one, so no other local process can join.
+    core_->elastic = !core_->options.listen.empty();
+    if (!core_->elastic) {
+        core_->options.listen = "127.0.0.1:0";
+        if (core_->options.secret.empty())
+            core_->options.secret = mintSecret();
+    }
     if (core_->options.numWorkers < 0 ||
-        (core_->options.numWorkers == 0 && !tcp))
+        (core_->options.numWorkers == 0 && !core_->elastic))
         throw std::invalid_argument(
             "ProcessPool: numWorkers must be >= 1 (or >= 0 with "
             "DistOptions::listen set, for an elastic fleet)");
@@ -1180,60 +1167,28 @@ ProcessPool::ProcessPool(const DistOptions& options)
     core_->wakeRead = wake[0];
     core_->wakeWrite = wake[1];
 
-    auto cleanup = [&] {
-        for (WorkerProc& w : core_->workers) {
-            if (w.fd >= 0)
-                ::close(w.fd);
-            if (w.pid > 0) {
-                ::kill(w.pid, SIGKILL);
-                ::waitpid(w.pid, nullptr, 0);
-            }
+    try {
+        core_->listenFd =
+            openListener(core_->options.listen, &core_->boundPort);
+        const std::string connect_to =
+            connectAddressFor(core_->options.listen, core_->boundPort);
+        for (int i = 0; i < core_->options.numWorkers; ++i) {
+            const int pid = spawnConnectWorker(
+                core_->workerPath, connect_to,
+                core_->options.heartbeatIntervalMs,
+                core_->options.threadsPerWorker, core_->options.secret);
+            core_->spawned.push_back({pid, false});
+            core_->stats.workersSpawned++;
         }
-        for (SpawnedPid& sp : core_->spawned) {
-            if (!sp.bound && sp.pid > 0) {
-                ::kill(sp.pid, SIGKILL);
-                ::waitpid(sp.pid, nullptr, 0);
-            }
+    } catch (...) {
+        for (const SpawnedPid& sp : core_->spawned) {
+            ::kill(sp.pid, SIGKILL);
+            ::waitpid(sp.pid, nullptr, 0);
         }
         if (core_->listenFd >= 0)
             ::close(core_->listenFd);
         ::close(core_->wakeRead);
         ::close(core_->wakeWrite);
-    };
-
-    try {
-        if (tcp) {
-            core_->listenFd =
-                openListener(core_->options.listen, &core_->boundPort);
-            core_->listening = true;
-        }
-        for (int i = 0; i < core_->options.numWorkers; ++i) {
-            if (tcp) {
-                // Local workers take the same authenticated loopback
-                // path a remote joiner would -- one transport, one
-                // handshake, one code path to trust.
-                const int pid = spawnConnectWorker(
-                    core_->workerPath,
-                    connectAddressFor(core_->options.listen,
-                                      core_->boundPort),
-                    core_->options.heartbeatIntervalMs,
-                    core_->options.threadsPerWorker,
-                    core_->options.secret);
-                core_->spawned.push_back({pid, false});
-            } else {
-                WorkerProc w;
-                w.fd = spawnWorker(core_->workerPath,
-                                   core_->options.heartbeatIntervalMs,
-                                   core_->options.threadsPerWorker,
-                                   &w.pid);
-                w.alive = true;
-                w.lastHeard = Clock::now();
-                core_->workers.push_back(std::move(w));
-            }
-            core_->stats.workersSpawned++;
-        }
-    } catch (...) {
-        cleanup();
         throw;
     }
 
@@ -1241,8 +1196,10 @@ ProcessPool::ProcessPool(const DistOptions& options)
     // the local membership to settle (every spawned worker has either
     // completed its Hello or died) so a broken worker setup surfaces
     // here -- where the engine can still fall back to in-process
-    // execution -- instead of failing the first submitted batch.
+    // execution -- instead of hanging the first submitted batch. Only
+    // a remote-only coordinator (numWorkers == 0) may start empty.
     monitor_ = std::thread(&ProcessPool::monitorLoop, core_);
+    bool up = core_->options.numWorkers == 0;
     {
         std::unique_lock<std::mutex> lock(core_->mutex);
         const auto deadline = Clock::now() + std::chrono::seconds(10);
@@ -1250,19 +1207,12 @@ ProcessPool::ProcessPool(const DistOptions& options)
             return core_->localHelloCount + core_->localDeadCount >=
                    static_cast<std::size_t>(core_->options.numWorkers);
         });
-    }
-    bool up = false;
-    {
-        std::lock_guard<std::mutex> lock(core_->mutex);
-        up = core_->listening;
         for (const WorkerProc& w : core_->workers)
-            up = up || (w.alive && w.helloSeen);
+            up = up || (w.alive && w.helloSeen && w.pid > 0);
+        if (!up)
+            core_->stop = true;
     }
     if (!up) {
-        {
-            std::lock_guard<std::mutex> lock(core_->mutex);
-            core_->stop = true;
-        }
         const std::uint8_t wake_byte = 0;
         (void)!::write(core_->wakeWrite, &wake_byte, 1);
         monitor_.join();
@@ -1336,8 +1286,8 @@ ProcessPool::monitorLoop(const std::shared_ptr<PoolCore>& core_ptr)
                            [](const WorkerProc& w) { return !w.alive; }),
             core.workers.end());
 
-        // Reap TCP-mode locals that died before ever connecting
-        // (e.g. exec failure): no socket exists to raise EOF, so the
+        // Reap locals that died before completing their Hello (e.g.
+        // exec failure): no member exists to raise EOF, so the
         // constructor's membership wait settles through this scan.
         for (SpawnedPid& sp : core.spawned) {
             if (sp.bound || sp.pid <= 0)
@@ -1356,7 +1306,7 @@ ProcessPool::monitorLoop(const std::shared_ptr<PoolCore>& core_ptr)
         std::vector<struct pollfd> fds;
         std::vector<std::size_t> idx; // worker index per pollfd tail
         fds.push_back({core.wakeRead, POLLIN, 0});
-        const bool accepting = core.listening && !core.stop;
+        const bool accepting = !core.stop;
         if (accepting)
             fds.push_back({core.listenFd, POLLIN, 0});
         const std::size_t head = fds.size();
@@ -1526,10 +1476,10 @@ ProcessPool::submit(CostFunction& cost,
         total_capacity += w.capacity;
         max_capacity = std::max<std::size_t>(max_capacity, w.capacity);
     }
-    // A listening pool accepts work while momentarily empty -- shards
+    // An elastic pool accepts work while momentarily empty -- shards
     // queue until a member joins. Size them for a single-threaded
     // joiner; stealing rebalances if a wider fleet shows up.
-    if (ready == 0 && !core_->listening)
+    if (ready == 0 && !core_->elastic)
         throw std::runtime_error(
             "ProcessPool::submit: no live workers");
     if (total_capacity == 0)
@@ -1615,7 +1565,7 @@ bool
 ProcessPool::healthy() const
 {
     std::lock_guard<std::mutex> lock(core_->mutex);
-    if (core_->listening && !core_->stop)
+    if (core_->elastic && !core_->stop)
         return true;
     for (const WorkerProc& w : core_->workers) {
         if (w.alive && w.helloSeen)
@@ -1639,8 +1589,7 @@ ProcessPool::workerPids() const
 std::uint16_t
 ProcessPool::listenPort() const
 {
-    std::lock_guard<std::mutex> lock(core_->mutex);
-    return core_->listening ? core_->boundPort : 0;
+    return core_->boundPort; // fixed before the monitor starts
 }
 
 PoolStats

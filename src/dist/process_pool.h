@@ -3,34 +3,38 @@
  * Multi-process landscape sharding behind a fault-tolerant task queue.
  *
  * The ProcessPool forks worker processes -- the `oscar-worker` entry
- * point of this same build -- each connected over a socketpair, and
- * implements the ExecutionEngine submission surface: submit() returns
- * a BatchHandle whose Control is backed by remote execution. A
- * submitted batch is cut into contiguous parameter-point shards and
- * placed on a shared FIFO task queue; a monitor thread dispatches
- * shards to idle workers, collects result frames, and watches
- * liveness.
+ * point of this same build -- and implements the ExecutionEngine
+ * submission surface: submit() returns a BatchHandle whose Control is
+ * backed by remote execution. A submitted batch is cut into
+ * contiguous parameter-point shards and placed on a shared FIFO task
+ * queue; a monitor thread dispatches shards to idle workers, collects
+ * result frames, and watches liveness.
  *
- * Elastic TCP fleets: with DistOptions::listen set, the pool binds a
- * TCP listener instead of (only) socketpairs. Local workers connect
- * over loopback, and any `oscar-worker --connect host:port` process
- * -- on this machine or another -- may join at any time, mid-batch
- * included. Every TCP accept is challenged (a nonce frame); the
- * worker's Hello must carry the HMAC-style tag keyed by the shared
- * fleet secret, or the connection is dropped before it can receive
- * work. A joiner is simply another dispatch target: queued shards
- * flow to it on the next dispatch pass. Departure is the existing
- * death path below. A listening pool with zero members keeps batches
- * queued until someone joins rather than failing them.
+ * Transport: every member joins over TCP. The pool binds a listener
+ * -- 127.0.0.1 on an ephemeral port by default, DistOptions::listen
+ * when configured -- and its own workers dial back to it. Every
+ * accept is challenged (a nonce frame); the worker's Hello must carry
+ * the HMAC-style tag keyed by the fleet secret, or the connection is
+ * dropped before it can receive work. A default pool mints a random
+ * secret when none is configured, so only the workers it spawned can
+ * join.
+ *
+ * Elastic fleets: with DistOptions::listen configured, any
+ * `oscar-worker --connect host:port` process -- on this machine or
+ * another -- may join at any time, mid-batch included. A joiner is
+ * simply another dispatch target: queued shards flow to it on the
+ * next dispatch pass. Departure is the existing death path below. An
+ * elastic pool with zero members keeps batches queued until someone
+ * joins rather than failing them.
  *
  * Fault tolerance: every worker heartbeats on a fixed period. A
- * worker that closes its pipe (crash, SIGKILL) is detected
+ * worker that closes its socket (crash, SIGKILL) is detected
  * immediately; one that goes silent past the heartbeat timeout (hang,
  * SIGSTOP) is killed. Either way its in-flight shard goes back on the
  * queue -- head first, so recovery preempts new work -- and runs on a
  * surviving worker; BatchStats::shardsRequeued counts these. When no
  * workers survive, outstanding batches fail with an error rather than
- * hanging (unless the pool is listening, where new members can still
+ * hanging (unless the pool is elastic, where new members can still
  * arrive), and the engine falls back to in-process execution for
  * later submissions.
  *
@@ -77,13 +81,13 @@ struct PoolStats
 {
     std::size_t workersSpawned = 0;
     std::size_t workersLost = 0;
-    /** TCP members that passed the authenticated Hello handshake. */
+    /** Members that passed the authenticated Hello handshake. */
     std::size_t workersJoined = 0;
     std::size_t tasksDispatched = 0;
     std::size_t tasksRequeued = 0;
     /** Shard tails split off busy workers via StealRequest/Grant. */
     std::size_t tasksStolen = 0;
-    /** Dispatches to TCP members that were not spawned by this pool. */
+    /** Dispatches to members that were not spawned by this pool. */
     std::size_t tasksToRemote = 0;
 };
 
@@ -92,9 +96,11 @@ class ProcessPool
 {
   public:
     /**
-     * Spawns options.numWorkers workers (must be >= 1). Throws
+     * Spawns options.numWorkers workers (>= 1, or >= 0 with a
+     * configured listener) and waits for their Hellos. Throws
      * std::runtime_error when the worker executable cannot be
-     * resolved or the processes cannot be created; the caller (the
+     * resolved, the processes cannot be created, or none of the
+     * spawned workers completes its Hello; the caller (the
      * ExecutionEngine) treats that as "distribution unavailable" and
      * stays in-process.
      */
@@ -115,8 +121,8 @@ class ProcessPool
 
     /**
      * True while at least one fully-handshaken worker is alive, or
-     * the pool is listening for joiners (an elastic fleet is healthy
-     * even while momentarily empty).
+     * the pool is elastic (a configured listener is healthy even
+     * while momentarily empty).
      */
     bool healthy() const;
 
@@ -127,10 +133,7 @@ class ProcessPool
      */
     std::vector<int> workerPids() const;
 
-    /**
-     * The TCP listener's bound port (useful with a ":0" listen spec),
-     * or 0 when the pool is not listening.
-     */
+    /** The TCP listener's bound port (useful with a ":0" listen spec). */
     std::uint16_t listenPort() const;
 
     PoolStats stats() const;

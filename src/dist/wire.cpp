@@ -273,15 +273,10 @@ decodeHello(std::span<const std::uint8_t> payload)
     msg.pid = r.i32();
     msg.wireVersion = r.u16();
     msg.isa = static_cast<kernels::KernelIsa>(r.u8());
-    // The capacity field arrived in v3; a v2-shaped payload ends here
-    // and decodes as a single-threaded worker.
-    msg.threads = r.atEnd() ? 1 : r.u16();
+    msg.threads = r.u16();
     if (msg.threads == 0)
         throw WireError("hello advertises zero capacity");
-    // The auth tag arrived in v5; a v3-shaped payload ends here and
-    // decodes untagged (the pool rejects untagged Hellos on
-    // challenged transports, so tolerance here costs nothing).
-    msg.authTag = r.atEnd() ? 0 : r.u64();
+    msg.authTag = r.u64();
     r.expectEnd();
     return msg;
 }

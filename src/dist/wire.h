@@ -238,17 +238,13 @@ struct HelloMsg
     std::uint16_t wireVersion = kWireVersion;
     kernels::KernelIsa isa = kernels::KernelIsa::Scalar;
     /**
-     * v3: evaluation threads the worker resolved for its own
-     * ExecutionEngine pool (its advertised capacity; >= 1). A v2-shaped
-     * payload without the field decodes as 1 -- the pre-hybrid
-     * single-threaded worker.
+     * Evaluation threads the worker resolved for its own
+     * ExecutionEngine pool (its advertised capacity; >= 1).
      */
     std::uint16_t threads = 1;
     /**
-     * v5: HMAC-style tag over the pool's Challenge nonce and this
-     * Hello's identity fields, keyed by the shared fleet secret
-     * (helloAuthTag). Zero on unchallenged transports (the pool's own
-     * socketpair workers) and in v3-shaped payloads without the field.
+     * HMAC-style tag over the pool's Challenge nonce and this Hello's
+     * identity fields, keyed by the shared fleet secret (helloAuthTag).
      */
     std::uint64_t authTag = 0;
 };

@@ -173,7 +173,7 @@ struct ActiveShard
 
 int
 workerMain(int fd, int heartbeat_ms, int threads,
-           const std::string& secret, bool await_challenge)
+           const std::string& secret)
 {
     obs::applyEnv(); // OSCAR_TRACE / OSCAR_METRICS travel via env
 
@@ -227,43 +227,40 @@ workerMain(int fd, int heartbeat_ms, int threads,
 
     FrameDecoder decoder;
 
-    // TCP joiners must answer the pool's challenge inside their
-    // Hello; greeting unprompted would be rejected as unauthenticated.
-    if (await_challenge) {
-        bool challenged = false;
-        while (!challenged) {
-            std::uint8_t buf[4096];
-            const ssize_t r = ::recv(fd, buf, sizeof(buf), 0);
-            if (r == 0)
-                return 1; // pool vanished mid-handshake
-            if (r < 0) {
-                if (errno == EINTR)
-                    continue;
-                return 1;
-            }
-            try {
-                decoder.feed(buf, static_cast<std::size_t>(r));
-                while (auto frame = decoder.next()) {
-                    if (frame->type == FrameType::Shutdown)
-                        return 0;
-                    if (frame->type != FrameType::Challenge) {
-                        std::fprintf(stderr,
-                                     "oscar-worker: expected "
-                                     "Challenge, got frame type %u\n",
-                                     static_cast<unsigned>(
-                                         frame->type));
-                        return 2;
-                    }
-                    const ChallengeMsg challenge =
-                        decodeChallenge(frame->payload);
-                    hello.authTag =
-                        helloAuthTag(secret, challenge.nonce, hello);
-                    challenged = true;
+    // Answer the pool's challenge inside the Hello; greeting
+    // unprompted would be rejected as unauthenticated.
+    bool challenged = false;
+    while (!challenged) {
+        std::uint8_t buf[4096];
+        const ssize_t r = ::recv(fd, buf, sizeof(buf), 0);
+        if (r == 0)
+            return 1; // pool vanished mid-handshake
+        if (r < 0) {
+            if (errno == EINTR)
+                continue;
+            return 1;
+        }
+        try {
+            decoder.feed(buf, static_cast<std::size_t>(r));
+            while (auto frame = decoder.next()) {
+                if (frame->type == FrameType::Shutdown)
+                    return 0;
+                if (frame->type != FrameType::Challenge) {
+                    std::fprintf(stderr,
+                                 "oscar-worker: expected Challenge, "
+                                 "got frame type %u\n",
+                                 static_cast<unsigned>(frame->type));
+                    return 2;
                 }
-            } catch (const WireError& e) {
-                std::fprintf(stderr, "oscar-worker: %s\n", e.what());
-                return 2;
+                const ChallengeMsg challenge =
+                    decodeChallenge(frame->payload);
+                hello.authTag =
+                    helloAuthTag(secret, challenge.nonce, hello);
+                challenged = true;
             }
+        } catch (const WireError& e) {
+            std::fprintf(stderr, "oscar-worker: %s\n", e.what());
+            return 2;
         }
     }
 
@@ -346,7 +343,7 @@ workerMain(int fd, int heartbeat_ms, int threads,
             std::uint8_t buf[65536];
             const ssize_t r = ::recv(fd, buf, sizeof(buf), 0);
             if (r == 0)
-                return 0; // pool closed the pipe
+                return 0; // pool closed the connection
             if (r < 0 && errno != EINTR)
                 return 1;
             if (r > 0) {
@@ -562,14 +559,11 @@ connectWithRetry(const std::string& spec)
 int
 workerEntry(int argc, char** argv)
 {
-    int fd = -1;
     int heartbeat_ms = 100;
     int threads = -1; // -1: consult OSCAR_DIST_THREADS below
     std::string connect;
     for (int i = 1; i + 1 < argc; i += 2) {
-        if (std::strcmp(argv[i], "--worker-fd") == 0)
-            fd = std::atoi(argv[i + 1]);
-        else if (std::strcmp(argv[i], "--heartbeat-ms") == 0)
+        if (std::strcmp(argv[i], "--heartbeat-ms") == 0)
             heartbeat_ms = std::atoi(argv[i + 1]);
         else if (std::strcmp(argv[i], "--threads") == 0)
             threads = std::atoi(argv[i + 1]);
@@ -579,8 +573,6 @@ workerEntry(int argc, char** argv)
     try {
         if (threads < 0)
             threads = resolveThreadsPerWorker(-1);
-        if (fd >= 0)
-            return workerMain(fd, heartbeat_ms, threads);
         const std::string target = resolveDistConnect(connect);
         if (!target.empty()) {
             const std::string secret = resolveDistSecret("");
@@ -591,19 +583,17 @@ workerEntry(int argc, char** argv)
                              target.c_str());
                 return 1;
             }
-            return workerMain(sock, heartbeat_ms, threads, secret,
-                              /*await_challenge=*/true);
+            return workerMain(sock, heartbeat_ms, threads, secret);
         }
     } catch (const std::exception& e) {
         std::fprintf(stderr, "oscar-worker: %s\n", e.what());
         return 64;
     }
     std::fprintf(stderr,
-                 "usage: oscar-worker --worker-fd N | "
-                 "--connect host:port [--heartbeat-ms M] "
-                 "[--threads T]\n"
-                 "(spawned by the oscar distributed execution "
-                 "subsystem; not meant to be run by hand)\n");
+                 "usage: oscar-worker --connect host:port "
+                 "[--heartbeat-ms M] [--threads T]\n"
+                 "(or OSCAR_DIST_CONNECT=host:port; the fleet secret "
+                 "comes from OSCAR_DIST_SECRET)\n");
     return 64;
 }
 

@@ -3,9 +3,8 @@
  * The oscar-worker process loop.
  *
  * A worker is the child half of the distributed execution subsystem:
- * it reads LoadCost / Task frames from the pool -- over an inherited
- * socketpair fd, or over TCP after `--connect host:port` -- rebuilds
- * cost evaluators from their wire specs, evaluates parameter-point
+ * it connects to the pool over TCP (`--connect host:port`), reads
+ * LoadCost / Task frames, rebuilds cost evaluators from their wire specs, evaluates parameter-point
  * shards at their reserved ordinals, and writes Result frames back. A
  * detached heartbeat thread keeps liveness flowing even while a long
  * shard is evaluating, so the pool can tell "busy" from "hung".
@@ -18,10 +17,10 @@
  * Ordinals were reserved at submission, so a stolen tail evaluates
  * bit-identically wherever it lands.
  *
- * On TCP transports the pool challenges every connection with a nonce
- * frame before accepting work from it; the worker answers inside its
- * Hello with an HMAC-style tag over the nonce keyed by the shared
- * fleet secret (OSCAR_DIST_SECRET).
+ * The pool challenges every connection with a nonce frame before
+ * accepting work from it; the worker answers inside its Hello with an
+ * HMAC-style tag over the nonce keyed by the shared fleet secret
+ * (OSCAR_DIST_SECRET).
  *
  * The loop exits on a Shutdown frame or EOF (the pool died); a wire
  * error is fatal by design -- the pool tears the connection down and
@@ -37,25 +36,23 @@ namespace oscar {
 namespace dist {
 
 /**
- * Run the worker protocol on `fd` until shutdown/EOF, heartbeating
- * every `heartbeat_ms`. `threads` sizes the worker's own
- * ExecutionEngine pool for shard evaluation (hybrid process x thread
- * execution): 0 = this host's hardware concurrency, >= 1 = exactly
- * that many. The resolved count is advertised back to the pool in the
- * Hello frame as the worker's capacity. With `await_challenge` the
- * worker first blocks for the pool's Challenge frame and tags its
- * Hello with helloAuthTag(secret, nonce, hello) -- the TCP handshake;
- * socketpair workers greet untagged. Returns the process exit code
+ * Run the worker protocol on the connected socket `fd` until
+ * shutdown/EOF, heartbeating every `heartbeat_ms`. `threads` sizes
+ * the worker's own ExecutionEngine pool for shard evaluation (hybrid
+ * process x thread execution): 0 = this host's hardware concurrency,
+ * >= 1 = exactly that many. The resolved count is advertised back to
+ * the pool in the Hello frame as the worker's capacity. The worker
+ * first blocks for the pool's Challenge frame and tags its Hello with
+ * helloAuthTag(secret, nonce, hello). Returns the process exit code
  * (0 on a clean shutdown, nonzero on a protocol error).
  */
-int workerMain(int fd, int heartbeat_ms, int threads = 1,
-               const std::string& secret = "",
-               bool await_challenge = false);
+int workerMain(int fd, int heartbeat_ms, int threads,
+               const std::string& secret);
 
 /**
  * Entry point of the `oscar-worker` binary: parses
- * `--worker-fd N | --connect host:port [--heartbeat-ms M]
- * [--threads T]` and runs workerMain. Without --connect the
+ * `--connect host:port [--heartbeat-ms M] [--threads T]` and runs
+ * workerMain. Without --connect the
  * OSCAR_DIST_CONNECT environment variable is consulted
  * (resolveDistConnect); the fleet secret always comes from
  * OSCAR_DIST_SECRET, never argv (ps would leak it). A TCP connect is

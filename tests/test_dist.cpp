@@ -26,9 +26,11 @@
  *    worker that joins mid-batch receives queued work, a SIGKILLed
  *    remote member's shards requeue onto survivors, per-point work
  *    stealing moves a straggler's unrun tail without changing a bit,
- *    a joiner with the wrong fleet secret is rejected before it can
- *    receive work, and the OSCAR_DIST_LISTEN / OSCAR_DIST_CONNECT /
- *    OSCAR_DIST_SECRET resolvers reject malformed input loudly.
+ *    a joiner with the wrong (or no) fleet secret is rejected before
+ *    it can receive work -- by a configured secret and by the one a
+ *    default pool mints -- and the OSCAR_DIST_LISTEN /
+ *    OSCAR_DIST_CONNECT / OSCAR_DIST_SECRET resolvers reject
+ *    malformed input loudly.
  */
 
 #include <gtest/gtest.h>
@@ -43,6 +45,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 extern char** environ;
@@ -408,19 +411,24 @@ TEST(DistEngineTest, BrokenWorkerSetupFallsBackInProcess)
     const auto points = randomPoints(24, reference.numParams(), 91);
     const std::vector<double> want = reference.evaluateBatch(points);
 
-    EngineOptions options;
-    options.numThreads = 2;
-    options.dist.numWorkers = 2;
-    options.dist.minPointsToDistribute = 1;
-    options.dist.workerPath = "/no/such/oscar-worker";
-    ExecutionEngine engine(options);
+    // A missing executable fails before anything is spawned; one that
+    // exits before its Hello (/bin/false) fails the membership wait.
+    for (const char* path : {"/no/such/oscar-worker", "/bin/false"}) {
+        EngineOptions options;
+        options.numThreads = 2;
+        options.dist.numWorkers = 2;
+        options.dist.minPointsToDistribute = 1;
+        options.dist.workerPath = path;
+        ExecutionEngine engine(options);
 
-    StatevectorCost cost = makeCost(graph, 1);
-    BatchHandle handle = engine.submit(cost, points);
-    const std::vector<double> got = handle.get();
-    expectBitIdentical(got, want);
-    EXPECT_EQ(handle.stats().pointsRemote, 0u);
-    EXPECT_EQ(cost.numQueries(), points.size());
+        StatevectorCost cost = makeCost(graph, 1);
+        BatchHandle handle = engine.submit(cost, points);
+        const std::vector<double> got = handle.get();
+        expectBitIdentical(got, want);
+        EXPECT_EQ(handle.stats().pointsRemote, 0u) << path;
+        EXPECT_EQ(cost.numQueries(), points.size()) << path;
+        EXPECT_EQ(engine.processPool(), nullptr) << path;
+    }
 }
 
 TEST(DistEngineTest, MalformedDistWorkersEnvThrows)
@@ -665,6 +673,20 @@ waitUntil(const std::function<bool()>& done, int timeout_ms = 10000)
     return done();
 }
 
+/** Reap a worker the pool should drop; kill it and return false if it
+ *  is still running after the timeout (it became a member). */
+bool
+exitsWithin(int pid, int timeout_ms = 10000)
+{
+    if (waitUntil(
+            [pid] { return ::waitpid(pid, nullptr, WNOHANG) == pid; },
+            timeout_ms))
+        return true;
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, nullptr, 0);
+    return false;
+}
+
 TEST(DistFleetTest, TcpLoopbackPoolBitIdenticalWithCompressedFraming)
 {
     const Graph graph = distGraph(8);
@@ -680,7 +702,7 @@ TEST(DistFleetTest, TcpLoopbackPoolBitIdenticalWithCompressedFraming)
     dist::ProcessPool pool(options);
     EXPECT_NE(pool.listenPort(), 0);
     EXPECT_TRUE(pool.healthy());
-    // TCP-mode locals are pid-bound to their connections, so fault
+    // Locals are pid-bound to their connections, so fault
     // injection via workerPids keeps working on this transport.
     EXPECT_EQ(pool.workerPids().size(), 2u);
     EXPECT_EQ(pool.stats().workersJoined, 2u);
@@ -828,24 +850,38 @@ TEST(DistFleetTest, WrongSecretJoinerIsRejectedBeforeReceivingWork)
     const auto points = randomPoints(24, reference.numParams(), 43);
     const std::vector<double> want = reference.evaluateBatch(points);
 
-    int pid = -1;
-    {
-        dist::DistOptions options;
-        options.numWorkers = 1;
-        options.listen = "127.0.0.1:0";
-        options.secret = "right-secret";
-        options.shardSize = 4;
+    // A configured listener and secret, and a default pool: with
+    // neither configured it binds loopback and mints its own secret,
+    // so a local process without that secret cannot join either.
+    dist::DistOptions configured;
+    configured.numWorkers = 1;
+    configured.listen = "127.0.0.1:0";
+    configured.secret = "right-secret";
+    configured.shardSize = 4;
+    dist::DistOptions minted = configured;
+    minted.listen.clear();
+    minted.secret.clear();
+    ScopedEnv no_listen("OSCAR_DIST_LISTEN", nullptr);
+    ScopedEnv no_secret("OSCAR_DIST_SECRET", nullptr);
+    const std::pair<dist::DistOptions, std::vector<std::string>> cases[] =
+        {{configured, {"wrong-secret"}}, {minted, {"", "wrong-secret"}}};
+
+    for (const auto& [options, impostors] : cases) {
         dist::ProcessPool pool(options);
+        ASSERT_NE(pool.listenPort(), 0);
         ASSERT_TRUE(waitUntil(
             [&] { return pool.stats().workersJoined >= 1; }));
 
-        pid = spawnRemoteWorker(pool.listenPort(), "wrong-secret");
-        ASSERT_GT(pid, 0);
-        // The impostor's tagged Hello fails verification and the
-        // connection is dropped; it never becomes a member.
-        reapWorker(pid);
-        pid = -1;
-        EXPECT_EQ(pool.stats().workersJoined, 1u);
+        for (const std::string& secret : impostors) {
+            const int pid = spawnRemoteWorker(pool.listenPort(), secret);
+            ASSERT_GT(pid, 0);
+            // The impostor's tagged Hello fails verification and the
+            // connection is dropped; it never becomes a member.
+            EXPECT_TRUE(exitsWithin(pid))
+                << "impostor secret \"" << secret << "\"";
+            EXPECT_EQ(pool.stats().workersJoined, 1u)
+                << "impostor secret \"" << secret << "\"";
+        }
 
         // The fleet keeps working on its authenticated member.
         StatevectorCost cost = makeCost(graph, 1);
@@ -855,8 +891,6 @@ TEST(DistFleetTest, WrongSecretJoinerIsRejectedBeforeReceivingWork)
         EXPECT_EQ(pool.stats().workersJoined, 1u);
         EXPECT_EQ(pool.stats().tasksToRemote, 0u);
     }
-    if (pid > 0)
-        reapWorker(pid);
 }
 
 TEST(DistOptionsTest, ListenConnectSecretResolverMatrix)
@@ -866,17 +900,12 @@ TEST(DistOptionsTest, ListenConnectSecretResolverMatrix)
         ScopedEnv env("OSCAR_DIST_LISTEN", "not-an-address");
         EXPECT_EQ(dist::resolveDistListen("127.0.0.1:0"),
                   "127.0.0.1:0");
-        EXPECT_EQ(dist::resolveDistListen("none"), "");
         EXPECT_THROW(dist::resolveDistListen(""), std::runtime_error);
     }
     // The environment is consulted only on the empty sentinel.
     {
         ScopedEnv env("OSCAR_DIST_LISTEN", "0.0.0.0:7777");
         EXPECT_EQ(dist::resolveDistListen(""), "0.0.0.0:7777");
-    }
-    {
-        ScopedEnv env("OSCAR_DIST_LISTEN", "none");
-        EXPECT_EQ(dist::resolveDistListen(""), "");
     }
     {
         ScopedEnv env("OSCAR_DIST_LISTEN", nullptr);
@@ -890,6 +919,7 @@ TEST(DistOptionsTest, ListenConnectSecretResolverMatrix)
                  std::runtime_error);
     EXPECT_THROW(dist::resolveDistListen("host:12x"),
                  std::runtime_error);
+    EXPECT_THROW(dist::resolveDistListen("none"), std::runtime_error);
 
     // Connect accepts real ports only (a worker cannot dial port 0).
     EXPECT_EQ(dist::resolveDistConnect("127.0.0.1:80"), "127.0.0.1:80");

@@ -287,18 +287,17 @@ TEST(WireTest, HelloRoundTrip)
     EXPECT_EQ(back.threads, 16);
 }
 
-TEST(WireTest, HelloWithoutCapacityDecodesAsSingleThreaded)
+TEST(WireTest, HelloMissingFieldsIsRejected)
 {
-    // A v2-shaped Hello body ends after the ISA byte; it must decode
-    // as a pre-hybrid single-threaded worker, not fail.
+    // Every Hello carries capacity and auth tag; a body that stops
+    // after the ISA byte or after the capacity is truncated.
     WireWriter w;
     w.i32(777);
-    w.u16(2);
+    w.u16(kWireVersion);
     w.u8(0); // scalar ISA
-    const HelloMsg back = decodeHello(w.bytes());
-    EXPECT_EQ(back.pid, 777);
-    EXPECT_EQ(back.wireVersion, 2);
-    EXPECT_EQ(back.threads, 1);
+    EXPECT_THROW(decodeHello(w.bytes()), WireError);
+    w.u16(4);
+    EXPECT_THROW(decodeHello(w.bytes()), WireError);
 }
 
 TEST(WireTest, HelloWithZeroCapacityIsRejected)
@@ -719,21 +718,6 @@ TEST(WireTest, HelloAuthTagRoundTripAndKeying)
     tweaked.threads = 9;
     EXPECT_NE(helloAuthTag("fleet-secret", 0xDEADBEEFull, tweaked),
               msg.authTag);
-}
-
-TEST(WireTest, HelloWithoutAuthTagDecodesAsUntagged)
-{
-    // A v3-shaped Hello body ends after the capacity field; it must
-    // decode with authTag 0 (socketpair workers never tag), not fail.
-    WireWriter w;
-    w.i32(555);
-    w.u16(kWireVersion);
-    w.u8(0); // scalar ISA
-    w.u16(4);
-    const HelloMsg back = decodeHello(w.bytes());
-    EXPECT_EQ(back.pid, 555);
-    EXPECT_EQ(back.threads, 4);
-    EXPECT_EQ(back.authTag, 0u);
 }
 
 // ------------------------------------------------- compressed framing

@@ -18,9 +18,9 @@
  *       valid trace, 1 with a diagnostic otherwise. CI uses this pair
  *       to prove worker telemetry actually crosses the wire.
  *
- * The fleet secret travels in-process via DistOptions (and from the
- * coordinator to its spawned workers through the environment) -- it
- * never appears on a command line.
+ * The fleet secret (OSCAR_DIST_SECRET, or one the pool mints) reaches
+ * the spawned workers through the environment -- it never appears on
+ * a command line.
  */
 
 #include <unistd.h>
@@ -94,8 +94,6 @@ runTraced(const std::string& out_path, int qubits, int depth,
     dist::DistOptions options;
     options.numWorkers = workers;
     options.threadsPerWorker = threads;
-    options.listen = "127.0.0.1:0"; // loopback TCP: the fleet path
-    options.secret = "oscar-trace-capture"; // in-process, never argv
     dist::ProcessPool pool(options);
     if (!pool.healthy()) {
         std::fprintf(stderr, "oscar-trace: worker fleet failed to start\n");

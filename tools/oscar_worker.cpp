@@ -1,8 +1,10 @@
 /**
  * @file
  * The oscar-worker executable: child half of the distributed
- * execution subsystem (src/dist). Spawned by ProcessPool over a
- * socketpair; see src/dist/worker.h for the protocol.
+ * execution subsystem (src/dist). Connects to a ProcessPool's TCP
+ * listener -- spawned by the pool itself, or started by hand on any
+ * host as `oscar-worker --connect host:port` with the fleet secret in
+ * OSCAR_DIST_SECRET; see src/dist/worker.h for the protocol.
  */
 
 #include "src/dist/worker.h"
